@@ -1,15 +1,16 @@
 #!/usr/bin/env python
 """State-space turbo tour: the same verification, an order deeper.
 
-The exhaustive explorer's hot loop was rebuilt around three mechanisms
+The exhaustive explorer's hot loop was rebuilt around two mechanisms
 (see "The state-space engine" in docs/ARCHITECTURE.md):
 
 * **packed digests** — a fixed 16-byte blake2b key per configuration
   instead of a nested tuple in the seen-set (~50-70x less memory);
 * **delta snapshots** — restore/step/snapshot in O(degree) instead of
-  O(n), with child snapshots structurally sharing their parent's slots;
-* a **persistent worker pool** — `workers=N` forks once per campaign
-  and ships only per-level digest deltas, never the seen-set.
+  O(n), with child snapshots structurally sharing their parent's slots.
+
+Multi-core exploration (`workers=N`) is the owner-computes explorer,
+covered in "Distributed exploration" in docs/ARCHITECTURE.md.
 
 This tour verifies safety on instances that the retained reference
 implementation (tuple digests + full snapshots, `method="snapshot"`,
@@ -146,7 +147,9 @@ def main() -> None:
     dfs_deep_dive()
     print()
     print("For multi-core exploration, pass workers=N (or --workers on the")
-    print("CLI): one persistent pool, results byte-identical to serial.")
+    print("CLI): owner-computes shards the seen-set across the workers;")
+    print("counts equal serial's for searches that run to closure or the")
+    print("depth bound.")
 
 
 if __name__ == "__main__":

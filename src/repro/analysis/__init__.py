@@ -22,11 +22,12 @@ Submodules
     Seeded random-walk schedule fuzzing (swarm verification) with
     replayable pid-schedule counterexamples.
 ``parallel``
-    Multi-core campaign runner sharding sweeps, fuzz campaigns and
-    explorations across worker processes with serial-identical merges.
+    Multi-core campaign runner sharding sweeps and fuzz campaigns across
+    worker processes with serial-identical merges.
 ``distributed``
-    Owner-computes exploration: digest-partitioned seen-set shards with
-    disk spill and campaign checkpoint/resume.
+    Owner-computes exploration, behind ``explore(workers=N)``:
+    digest-partitioned seen-set shards with disk spill and campaign
+    checkpoint/resume.
 ``trajectories``
     Token tracking and circulation lap times.
 """
@@ -68,12 +69,9 @@ from .metrics import (
     waiting_time_bound,
 )
 from .parallel import (
-    DEFAULT_MIN_FRONTIER,
     CampaignError,
-    PersistentExplorePool,
     ShardProgress,
     WorkerFailure,
-    explore_parallel,
     fork_available,
     fuzz_parallel,
     parallel_map,
@@ -91,8 +89,6 @@ __all__ = [
     "LivelockWitness",
     "find_livelock",
     "format_moves",
-    "DEFAULT_MIN_FRONTIER",
-    "PersistentExplorePool",
     "FuzzResult",
     "fuzz",
     "replay_schedule",
@@ -110,7 +106,6 @@ __all__ = [
     "parallel_map",
     "run_sweep_parallel",
     "fuzz_parallel",
-    "explore_parallel",
     "CheckpointError",
     "ShardStore",
     "explore_owner",

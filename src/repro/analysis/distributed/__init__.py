@@ -14,8 +14,8 @@ The subsystem splits into four pieces:
   ``repro explore --checkpoint/--resume``.
 
 Entry point for callers: :func:`repro.analysis.explore.explore` with
-``distributed=True`` (or a ``mem_budget`` / ``checkpoint_dir`` /
-``resume_dir``), which routes here.
+``workers > 1`` (or a ``mem_budget`` / ``partitioner`` /
+``checkpoint_dir`` / ``resume_dir``), which routes here.
 """
 
 from .checkpoint import (

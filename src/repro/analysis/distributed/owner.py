@@ -1,10 +1,9 @@
 """Owner-computes distributed exploration.
 
-The persistent-pool explorer (:mod:`repro.analysis.parallel`) keeps the
-parent as the single dedup authority: every child digest travels to the
-parent, which decides novelty against one global seen-set.  That design
-caps the seen-set at one process's RAM and makes the parent the serial
-bottleneck.  This module inverts it:
+The parallel explorer behind ``explore(workers=N)``: level-synchronous
+BFS whose seen-set is split across worker shards, each the dedup
+authority for its own digests, so the parent never holds the seen-set
+and is no serial bottleneck:
 
 * The digest space is partitioned across ``W`` worker shards by a
   registered :mod:`partitioner <.partition>` (ownership invariant:
@@ -352,9 +351,9 @@ class _PipeHandle:
             pass
 
 
-#: Payload slot inherited by forked owner workers (same idiom as the
-#: persistent pool's ``_POOL_PAYLOAD``: set before fork, cleared after,
-#: never pickled).
+#: Payload slot inherited by forked owner workers (same idiom as
+#: :mod:`repro.analysis.parallel`'s ``_PAYLOAD``: set before fork,
+#: cleared after, never pickled).
 _OWNER_PAYLOAD: Any = None
 
 
@@ -575,7 +574,7 @@ def explore_owner(
 
     work = engine.fork()
     # Exploration runs on the observer-free kernel (same contract as the
-    # serial and persistent-pool explorers).
+    # serial explorer).
     work.clear_observers()
     bad = _check(invariant, work, 0)
     if bad is not None and manifest is None:

@@ -381,6 +381,48 @@ def _check(
     return None if msg is None else (depth, msg)
 
 
+def routes_to_owner(
+    *,
+    workers: int | None = None,
+    partitioner: str | None = None,
+    mem_budget: int | str | None = None,
+    checkpoint_dir: str | None = None,
+    resume_dir: str | None = None,
+    check: str = "safety",
+    por: bool = False,
+    strategy: str = "bfs",
+    method: str = "delta",
+    digest: str = "packed",
+) -> bool:
+    """The rule :func:`explore` routes by: True for owner-computes.
+
+    More than one worker, or any owner-computes option, runs
+    owner-computes; anything else is serial.  An owner-computes run
+    that asks for something only the serial searches do raises
+    ``ValueError`` — it never falls back to another path.
+    """
+    if not (
+        (workers is not None and workers > 1)
+        or partitioner is not None
+        or mem_budget is not None
+        or checkpoint_dir is not None
+        or resume_dir is not None
+    ):
+        return False
+    if por or check != "safety":
+        raise ValueError(
+            "workers > 1 and the owner-computes options check safety "
+            "without POR; check='liveness' and por=True are serial "
+            "searches (workers must be <= 1)"
+        )
+    if strategy != "bfs" or method != "delta" or digest != "packed":
+        raise ValueError(
+            "workers > 1 and the owner-computes options require "
+            "strategy='bfs', method='delta' and digest='packed'"
+        )
+    return True
+
+
 def explore(
     engine: Engine,
     invariant: Callable[[Engine], bool | str | None],
@@ -392,11 +434,9 @@ def explore(
     digest: str = "packed",
     workers: int | None = None,
     progress: Callable | None = None,
-    min_frontier: int | None = None,
     por: bool = False,
     check: str = "safety",
     fairness: str = "weak",
-    distributed: bool = False,
     partitioner: str | None = None,
     partitioner_args: dict | None = None,
     mem_budget: int | None = None,
@@ -431,19 +471,6 @@ def explore(
     blake2b of the flat canonical encoding — see :func:`packed_digest`)
     or ``"tuple"`` (the nested-tuple reference).
 
-    ``workers`` > 1 partitions each BFS frontier across a persistent
-    pool of worker processes via
-    :func:`repro.analysis.parallel.explore_parallel` (level-synchronous,
-    results identical to serial BFS); it requires ``strategy="bfs"`` and
-    a snapshot-codec method (``"delta"`` or ``"snapshot"``).  Levels
-    with fewer than ``min_frontier`` states are expanded in-process
-    (dispatching a handful of states to the pool costs more than it
-    saves; default
-    :data:`repro.analysis.parallel.DEFAULT_MIN_FRONTIER`, lower it to
-    force pooling).  ``progress`` receives
-    :class:`~repro.analysis.parallel.ShardProgress` events, including
-    one per in-process level.
-
     ``por=True`` switches on partial-order reduction (sleep sets over
     the delta codec's exact dirty-set footprints): moves with disjoint
     process+channel footprints commute, so only one interleaving is
@@ -460,29 +487,41 @@ def explore(
     constraint cycles must satisfy (``"weak"``, ``"strong"``,
     ``"unconditional"``); it is ignored for safety checks.  The lasso
     search is inherently sequential (its cycle detection lives on one
-    DFS stack), so ``workers`` is ignored under liveness; ``strategy``
-    is ignored too (the search is DFS by nature) and ``method`` must be
-    ``"delta"``.  The result's ``livelock`` field carries the witness;
-    ``converged`` summarizes the verdict.
+    DFS stack), so it rejects ``workers > 1``; ``strategy`` is ignored
+    (the search is DFS by nature) and ``method`` must be ``"delta"``.
+    The result's ``livelock`` field carries the witness; ``converged``
+    summarizes the verdict.
 
-    ``distributed=True`` (or any of ``mem_budget`` / ``partitioner`` /
-    ``checkpoint_dir`` / ``resume_dir``) routes to the **owner-computes
-    distributed explorer**
-    (:func:`repro.analysis.distributed.explore_owner`): the seen-set is
-    partitioned across ``workers`` shards, each shard may spill to disk
+    ``workers > 1``, or any of ``mem_budget`` / ``partitioner`` /
+    ``checkpoint_dir`` / ``resume_dir``, routes to the **owner-computes
+    explorer** (:func:`repro.analysis.distributed.explore_owner`); every
+    other call runs serially in-process.  Owner-computes partitions the
+    seen-set across ``workers`` shards, each of which may spill to disk
     under a per-shard ``mem_budget``, and campaigns checkpoint into /
-    resume from a manifest directory.  Counts are serial-identical for
-    campaigns that run to closure or the depth bound; early stops
-    (violation, ``max_configurations``) are level-granular.  Requires
+    resume from a manifest directory; ``progress`` receives its
+    :class:`~repro.analysis.parallel.ShardProgress` events.  It requires
     the defaults ``strategy="bfs"``, ``method="delta"``,
-    ``digest="packed"``, no POR, ``check="safety"``.
+    ``digest="packed"``, no POR and ``check="safety"``, and raises
+    ``ValueError`` for anything else rather than falling back to the
+    serial search.
+
+    Owner-computes counts equal the serial explorer's for every campaign
+    that runs to closure or to the depth bound.  An early stop — an
+    invariant violation or the ``max_configurations`` cap — lands at
+    level granularity instead: the whole level that hit it is counted
+    (the serial explorer stops mid-level), so ``configurations``,
+    ``transitions`` and the last frontier size may exceed the serial
+    figures, while being the same for every worker count.  A violation
+    is reported at the serial explorer's minimal depth; among
+    same-depth violations the smallest digest wins.
 
     Returns an :class:`ExplorationResult`; ``exhausted`` is ``True`` when
     the reachable set closed before ``max_depth`` — in that case the
     invariant holds in *every* reachable configuration, full stop.
     ``states_per_sec`` and ``peak_seen_bytes`` report the search's
     throughput and the (estimated) memory its seen-set retained
-    (``peak_disk_bytes`` adds the spilled portion for distributed runs).
+    (``peak_disk_bytes`` adds the spilled portion for owner-computes
+    runs).
     """
     if strategy not in ("bfs", "dfs"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -513,22 +552,12 @@ def explore(
                 "check='liveness' runs on the object engine; "
                 "use backend='object'"
             )
-    if (
-        distributed
-        or partitioner is not None
-        or mem_budget is not None
-        or checkpoint_dir is not None
-        or resume_dir is not None
+    if routes_to_owner(
+        workers=workers, partitioner=partitioner, mem_budget=mem_budget,
+        checkpoint_dir=checkpoint_dir, resume_dir=resume_dir,
+        check=check, por=por, strategy=strategy, method=method,
+        digest=digest,
     ):
-        if strategy != "bfs" or method != "delta" or digest != "packed":
-            raise ValueError(
-                "distributed exploration requires strategy='bfs', "
-                "method='delta' and digest='packed'"
-            )
-        if por or check != "safety":
-            raise ValueError(
-                "distributed exploration supports check='safety' without POR"
-            )
         from .distributed import explore_owner
 
         return explore_owner(
@@ -564,22 +593,6 @@ def explore(
                 "por=True requires method='delta' (the reduction is built "
                 "on the delta codec's dirty-set footprints)"
             )
-        if workers is not None and workers > 1:
-            raise ValueError("por=True is serial (workers must be <= 1)")
-    if workers is not None and workers > 1:
-        if strategy != "bfs" or method == "fork":
-            raise ValueError(
-                "workers > 1 requires strategy='bfs' and a snapshot-codec "
-                "method ('delta' or 'snapshot')"
-            )
-        from .parallel import explore_parallel
-
-        return explore_parallel(
-            engine, invariant,
-            max_depth=max_depth, max_configurations=max_configurations,
-            workers=workers, progress=progress, min_frontier=min_frontier,
-            digest=digest, method=method,
-        )
     work = engine.fork()
     # Exploration runs on the observer-free kernel: instrumentation on
     # the private fork could only slow the search (snapshots and digests
@@ -647,9 +660,9 @@ class _DeltaExpander:
     """The delta-codec expansion loop shared by every exploration flavor.
 
     :meth:`expand` runs every move of one parent configuration and
-    returns a per-move record list; serial BFS/DFS, the persistent-pool
-    workers, and the parent-side small-level path all consume it, so the
-    hot loop exists exactly once.  Per move it:
+    returns a per-move record list; serial BFS/DFS and the owner-computes
+    workers all consume it, so the hot loop exists exactly once.  Per
+    move it:
 
     * executes an inlined observer-free step (exploration engines carry
       no observers, so the hook dispatch and label arithmetic of
@@ -784,8 +797,8 @@ class _DeltaExpander:
         known (in ``seen``, or earlier within this parent), else
         ``(digest, verdict, child_state, child_parts)``.  ``seen`` is
         read, never written — the caller's merge decides which digest
-        wins (this is what makes the record stream shard-order
-        independent for the parallel explorer).
+        wins (this is what lets owner-computes workers dedup against
+        their own shard only).
         """
         work = self.work
         invariant = self.invariant
@@ -1099,61 +1112,6 @@ class _DeltaExpander:
         if prev is not None:
             work.restore_pid(state, prev[0], prev[1], prev[2], prev[3])
         return records, recv_mask
-
-
-class _SnapshotExpander:
-    """Full-codec counterpart of :class:`_DeltaExpander`.
-
-    Same per-parent record protocol (one record per move, ``None`` for
-    known digests), implemented with the retained reference operations:
-    a full :meth:`Engine.load_state` per move, a full digest per child,
-    a full :meth:`Engine.save_state` per new state.  This is what lets
-    the persistent-pool explorer run ``method="snapshot"`` — so a
-    suspected delta-codec bug can be cross-checked under the *parallel*
-    explorer too, not just serially.  Honors the expander contract:
-    the engine holds ``state`` on entry and is returned to it on exit.
-    """
-
-    __slots__ = ("work", "invariant", "digester")
-
-    def __init__(
-        self,
-        work: Engine,
-        invariant: Callable[[Engine], bool | str | None],
-        digester: _PackedDigester | None,
-    ) -> None:
-        self.work = work
-        self.invariant = invariant
-        self.digester = digester
-
-    def _digest(self) -> object:
-        if self.digester is None:
-            return canonical_digest(self.work)
-        return self.digester.hash(self.digester.parts())
-
-    def root(self) -> tuple:
-        """(digest, parts) of the engine's current configuration."""
-        return self._digest(), None
-
-    def expand(self, state, parent_parts, seen: set) -> list:
-        work = self.work
-        invariant = self.invariant
-        row: list = []
-        local_seen: set = set()
-        for i, (pid, chan) in enumerate(_moves(work)):
-            if i:
-                work.load_state(state)
-            work.step_pid(pid, chan)
-            digest = self._digest()
-            if digest in seen or digest in local_seen:
-                row.append(None)
-                continue
-            local_seen.add(digest)
-            row.append(
-                (digest, _verdict(invariant(work)), work.save_state(), None)
-            )
-        work.load_state(state)  # leave the engine at `state`
-        return row
 
 
 class _ArrayDigester:

@@ -52,8 +52,10 @@ exactly — the pair is the reproducibility contract.  ``--tree`` and
 
 ``sweep``, ``fuzz`` and ``explore`` accept ``--workers N`` to shard the
 campaign across worker processes (results are identical to the serial
-run for any worker count) and ``--progress`` to report shard completion
-on stderr.  Every command accepts ``--seed`` and is fully deterministic.
+run for any worker count; ``explore`` then runs owner-computes, which
+stops early at level granularity) and ``--progress`` to report shard
+completion on stderr.  Every command accepts ``--seed`` and is fully
+deterministic.
 
 Long-running commands accept ``--no-stats``: the scenario's observer
 stack (e.g. one declared in a ``--spec`` manifest) is dropped and the
@@ -74,7 +76,6 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .analysis.parallel import DEFAULT_MIN_FRONTIER
 from .spec import (
     FAIRNESS,
     FAULTS,
@@ -394,7 +395,8 @@ def _add_campaign(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--workers", type=int, default=None,
         help="worker processes for the campaign (default: serial; any "
-             "worker count yields identical results)",
+             "worker count yields identical results, except that an "
+             "explore stopped early counts whole BFS levels)",
     )
     p.add_argument(
         "--progress", action="store_true",
@@ -542,34 +544,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seen-set key: packed 128-bit blake2b (default) or "
                         "the nested-tuple reference (identical results, "
                         "more memory)")
-    p.add_argument("--min-frontier", type=int, default=None,
-                   help="smallest frontier worth dispatching to the "
-                        "persistent worker pool (default: "
-                        f"{DEFAULT_MIN_FRONTIER}; smaller levels expand "
-                        "in-process)")
-    p.add_argument(
-        "--distributed", action="store_true",
-        help="owner-computes exploration: the seen-set is partitioned "
-             "across --workers shards, each the dedup authority for its "
-             "digests (serial-identical counts; enables --mem-budget "
-             "disk spill and --checkpoint/--resume)",
-    )
     p.add_argument(
         "--mem-budget", metavar="BYTES", default=None,
         help="per-shard resident budget for the seen-set (suffixes k/M/G); "
              "over-budget shards spill sorted digest runs to disk "
-             "(implies --distributed)",
+             "(runs owner-computes, like --workers > 1)",
     )
     p.add_argument(
         "--partitioner", metavar="NAME", default=None,
         help="digest-space partitioner mapping digests to owning shards "
-             "(default: topbits; see `repro list`; implies --distributed)",
+             "(default: topbits; see `repro list`; runs owner-computes)",
     )
     p.add_argument(
         "--checkpoint", metavar="DIR", default=None,
         help="write a resumable campaign checkpoint (manifest + shard "
-             "files) into DIR every --checkpoint-every levels (implies "
-             "--distributed)",
+             "files) into DIR every --checkpoint-every levels (runs "
+             "owner-computes)",
     )
     p.add_argument(
         "--checkpoint-every", type=int, default=None, metavar="K",
@@ -948,33 +938,19 @@ def cmd_explore(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
     from .analysis import explore, format_moves
+    from .analysis.explore import routes_to_owner
 
-    distributed = (
-        args.distributed
-        or args.mem_budget is not None
-        or args.partitioner is not None
-        or args.checkpoint is not None
-        or args.resume is not None
-    )
+    try:
+        owner = routes_to_owner(
+            workers=args.workers, partitioner=args.partitioner,
+            mem_budget=args.mem_budget, checkpoint_dir=args.checkpoint,
+            resume_dir=args.resume, check=args.check, por=args.por,
+            digest=args.digest,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     liveness = args.check == "liveness"
-    if distributed and (liveness or args.por):
-        print(
-            "error: distributed exploration checks safety without POR; "
-            "drop --check liveness / --por",
-            file=sys.stderr,
-        )
-        return 2
-    if distributed and args.digest != "packed":
-        print("error: distributed exploration requires --digest packed",
-              file=sys.stderr)
-        return 2
-    if distributed and args.min_frontier is not None:
-        print(
-            "error: --min-frontier tunes the persistent pool; the "
-            "distributed explorer always dispatches every level",
-            file=sys.stderr,
-        )
-        return 2
     if args.checkpoint_every is not None and args.checkpoint_every < 1:
         print("--checkpoint-every must be >= 1", file=sys.stderr)
         return 2
@@ -1041,13 +1017,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
     if spec.fairness is not None:
         spec.fairness.build()  # validate the kind (and the empty args)
         fairness = spec.fairness.kind
-    if (liveness or args.por) and (args.workers or 1) > 1:
-        print(
-            "error: --check liveness and --por are serial searches; "
-            "drop --workers",
-            file=sys.stderr,
-        )
-        return 2
     built = spec.build()
     params, tree = built.params, built.tree
     res = explore(
@@ -1056,8 +1025,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
         digest=args.digest, check=args.check, fairness=fairness,
         por=args.por,
         workers=args.workers, progress=_progress_printer(args),
-        min_frontier=args.min_frontier,
-        distributed=args.distributed, partitioner=args.partitioner,
+        partitioner=args.partitioner,
         mem_budget=mem_budget, checkpoint_dir=args.checkpoint,
         checkpoint_every=args.checkpoint_every, resume_dir=args.resume,
         spec=spec,
@@ -1074,7 +1042,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     print(f"transitions      : {res.transitions}")
     print(f"peak seen memory : {res.peak_seen_bytes:,} bytes "
           f"({args.digest} digests)")
-    if distributed:
+    if owner:
         # Resident vs. spilled split: the budget bounds the first, the
         # second is the sorted-run bytes on disk.
         print(f"peak disk memory : {res.peak_disk_bytes:,} bytes "

@@ -241,18 +241,33 @@ class TestOwnerDifferential:
         assert not owned.ok
         assert owned.violation == serial.violation
 
-    def test_explore_routes_distributed_keyword(self):
+    @pytest.mark.parametrize("option", [
+        "partitioner", "mem_budget", "checkpoint_dir",
+    ])
+    def test_explore_routes_owner_options(self, option, tmp_path):
+        """Each owner option routes explore() to owner-computes even at
+        one worker; the progress events show which explorer ran."""
         eng, params = naive_engine()
         serial = explore(eng, invariant_for(params), max_depth=8)
+        value = {
+            "partitioner": "topbits",
+            "mem_budget": 1 << 20,
+            "checkpoint_dir": str(tmp_path / "ckpt"),
+        }[option]
+        events = []
         routed = explore(eng, invariant_for(params), max_depth=8,
-                         distributed=True, workers=1)
+                         workers=1, progress=events.append,
+                         **{option: value})
         assert fields(routed) == fields(serial)
+        assert events and all(
+            ev.campaign == "explore-owner" for ev in events
+        )
 
-    def test_explore_rejects_distributed_por(self):
+    def test_explore_rejects_owner_por(self):
         eng, params = naive_engine()
         with pytest.raises(ValueError):
             explore(eng, invariant_for(params), max_depth=4,
-                    distributed=True, por=True)
+                    partitioner="topbits", por=True)
 
     @needs_fork
     @pytest.mark.slow
@@ -344,7 +359,7 @@ class TestCheckpointResume:
         )
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "explore", *scenario,
-             "--distributed", "--mem-budget", "2k",
+             "--mem-budget", "2k",
              "--checkpoint", ckpt, "--checkpoint-every", "1"],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )

@@ -496,7 +496,7 @@ class TestArrayBackendDifferential:
     """``explore()`` over an :class:`ArrayEngine` must agree with the
     object engine on the *entire* search outcome — configuration and
     transition counts, violation, exhaustion and per-depth frontiers —
-    cold, warm (engine-resident memos), pooled and distributed.
+    cold, warm (engine-resident memos) and owner-computes.
 
     uid discipline: the two builds run sequentially, each after a
     process-global uid counter reset (see tests/sim/test_array_engine_diff.py).
@@ -578,26 +578,18 @@ class TestArrayBackendDifferential:
         warm_dfs = explore(arr.engine, arr.invariant, strategy="dfs", **kw)
         assert self._key(warm_dfs) == self._key(ref_dfs)
 
-    def test_pool_workers_match_serial(self):
+    def test_parallel_workers_match_serial(self, tmp_path):
         kw = dict(max_depth=6, max_configurations=20_000)
         obj = self._built("selfstab")
         ref = explore(obj.engine, obj.invariant, **kw)
         arr = self._built("selfstab", backend="array")
-        res = explore(arr.engine, arr.invariant, workers=2, min_frontier=1,
-                      **kw)
-        assert self._key(res) == self._key(ref)
-
-    def test_distributed_w2_matches_serial(self, tmp_path):
-        from repro.analysis.distributed.owner import explore_owner
-
-        kw = dict(max_depth=6, max_configurations=20_000)
-        obj = self._built("selfstab")
-        ref = explore(obj.engine, obj.invariant, **kw)
-        arr = self._built("selfstab", backend="array")
-        res = explore_owner(arr.engine, arr.invariant, workers=2,
-                            spill_dir=str(tmp_path), **kw)
-        assert (res.configurations, res.transitions, res.violation) == (
-            ref.configurations, ref.transitions, ref.violation)
+        cases = [dict(workers=w) for w in (2, 3, 4)]
+        # a 2 KiB per-shard budget forces every shard to spill
+        cases.append(dict(workers=2, mem_budget=2048,
+                          spill_dir=str(tmp_path)))
+        for case in cases:
+            res = explore(arr.engine, arr.invariant, **case, **kw)
+            assert self._key(res) == self._key(ref), case
 
     def test_xmemo_does_not_leak_across_invariants(self):
         """Cached expansion rows embed invariant verdicts; swapping the

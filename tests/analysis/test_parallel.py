@@ -1,10 +1,13 @@
 """Parallel campaign runner: serial-identical merges, progress, failures.
 
-The contract under test is the module's hard guarantee: for any worker
-count, ``run_sweep``/``fuzz``/``explore`` with ``workers=N`` produce
-results **byte-identical** to the serial run — same tables, same
-counterexamples, same state counts — across topologies and protocol
-variants.
+The contract under test is the runner's hard guarantee: for any worker
+count, ``run_sweep``/``fuzz`` with ``workers=N`` produce results
+**byte-identical** to the serial run — same tables, same
+counterexamples — across topologies and protocol variants.  The same
+holds for ``explore(workers=N)`` (owner-computes) on full runs; its
+early stops follow the owner contract instead: level-granular counts,
+identical for every worker count, and the serial minimal-depth
+violation.
 """
 
 import numpy as np
@@ -20,10 +23,7 @@ from repro.analysis import (
     run_sweep,
 )
 from repro.analysis.parallel import (
-    DEFAULT_MIN_FRONTIER,
-    PersistentExplorePool,
     _shard_ranges,
-    explore_parallel,
     fork_available,
     parallel_map,
 )
@@ -152,180 +152,122 @@ class TestFuzzDeterminism:
 
 
 class TestExploreDeterminism:
+    """``explore(workers=N)`` against the serial explorer."""
+
     @pytest.mark.parametrize("topology", ["path", "star"])
     @pytest.mark.parametrize("variant", ["naive", "priority"])
-    def test_state_counts_identical(self, topology, variant):
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_full_runs_identical(self, topology, variant, workers):
         eng, params = small_engine(topology, variant)
 
         def inv(e):
             return safety_ok(e, params)
 
         serial = explore(eng, inv, max_depth=5)
-        par = explore(eng, inv, max_depth=5, workers=4)
-        assert explore_fields(par) == explore_fields(serial)
         assert serial.configurations > 1
-
-    @pytest.mark.parametrize("variant", ["naive", "priority"])
-    def test_forced_pool_path_identical(self, variant):
-        """min_frontier=1 forces real worker pools at every level (the
-        default skips pools for tiny frontiers, where serial and pooled
-        expansion are interchangeable by construction)."""
-        eng, params = small_engine("path", variant)
-
-        def inv(e):
-            return safety_ok(e, params)
-
-        serial = explore(eng, inv, max_depth=5)
-        par = explore_parallel(
-            eng, inv, max_depth=5, workers=3, min_frontier=1
-        )
+        par = explore(eng, inv, max_depth=5, workers=workers)
         assert explore_fields(par) == explore_fields(serial)
 
-    def test_violation_identical(self):
+    def test_levels_report_progress(self):
+        """--progress under workers > 1 reports one owner ``level``
+        event per explored depth."""
         eng, params = small_engine("path", "naive")
+        events = []
+        res = explore(eng, lambda e: True, max_depth=4, workers=2,
+                      progress=events.append)
+        assert events and all(ev.campaign == "explore-owner" for ev in events)
+        levels = [ev.note for ev in events if ev.note.startswith("level: ")]
+        assert [n.split("depth ")[1].split(":")[0] for n in levels] == [
+            str(d) for d in range(1, len(res.frontier_sizes) + 1)
+        ]
+
+    def test_single_worker_runs_serial(self):
+        """workers=1 without an owner option stays the serial search:
+        no owner progress events."""
+        eng, params = small_engine("star", "naive")
+        events = []
+        res = explore(eng, lambda e: True, max_depth=5, workers=1,
+                      progress=events.append)
+        assert not any(ev.campaign == "explore-owner" for ev in events)
+        assert explore_fields(res) == explore_fields(
+            explore(eng, lambda e: True, max_depth=5))
+
+    @staticmethod
+    def owner_runs(eng, inv, **kw):
+        """Owner-computes at W = 1, 2, 3 (``partitioner`` routes W = 1)."""
+        return [
+            explore(eng, inv, workers=w, partitioner="topbits", **kw)
+            for w in (1, 2, 3)
+        ]
+
+    def test_violation_early_stop(self):
+        eng, params = small_engine("path", "naive")
+
         def inv(e):
             return e.total_cs_entries == 0 or "entered CS"
 
         serial = explore(eng, inv, max_depth=6)
-        par = explore_parallel(
-            eng, inv, max_depth=6, workers=3, min_frontier=1
-        )
-        assert not serial.ok
-        assert explore_fields(par) == explore_fields(serial)
+        assert serial.violation == (2, "entered CS")
+        runs = self.owner_runs(eng, inv, max_depth=6)
+        assert all(r.violation == serial.violation for r in runs)
+        # level-granular: the whole violating level is counted, where
+        # the serial explorer stops at 11 configurations, 14 transitions
+        assert all(explore_fields(r) == explore_fields(runs[0]) for r in runs)
+        assert (runs[0].configurations, runs[0].transitions,
+                runs[0].frontier_sizes) == (12, 20, [4, 7])
 
-    def test_configuration_cap_identical(self):
+    @pytest.mark.parametrize("topology", ["path", "star"])
+    @pytest.mark.parametrize("variant", ["naive", "priority"])
+    def test_violation_early_stop_any_instance(self, topology, variant):
+        """The early-stop contract on every small instance: the serial
+        minimal-depth violation, counts independent of the worker count
+        and never below the serial explorer's mid-level stop."""
+        eng, params = small_engine(topology, variant)
+
+        def inv(e):
+            return e.total_cs_entries == 0 or "entered CS"
+
+        serial = explore(eng, inv, max_depth=6)
+        assert not serial.ok
+        runs = self.owner_runs(eng, inv, max_depth=6)
+        assert all(r.violation == serial.violation for r in runs)
+        assert all(explore_fields(r) == explore_fields(runs[0]) for r in runs)
+        assert runs[0].configurations >= serial.configurations
+        assert runs[0].transitions >= serial.transitions
+        assert len(runs[0].frontier_sizes) == serial.violation[0]
+
+    def test_configuration_cap_early_stop(self):
         eng, params = small_engine("star", "naive")
 
         def inv(e):
             return True
 
         serial = explore(eng, inv, max_depth=6, max_configurations=20)
-        par = explore_parallel(
-            eng, inv, max_depth=6, max_configurations=20,
-            workers=3, min_frontier=1,
-        )
-        assert explore_fields(par) == explore_fields(serial)
         assert serial.configurations == 20
+        runs = self.owner_runs(eng, inv, max_depth=6, max_configurations=20)
+        assert all(explore_fields(r) == explore_fields(runs[0]) for r in runs)
+        # the cap lands on a level boundary here, so only the
+        # transitions show the finished level (serial: 44)
+        assert (runs[0].configurations, runs[0].transitions,
+                runs[0].frontier_sizes, runs[0].exhausted) == (
+            20, 48, [4, 7, 8], False)
 
-    def test_min_frontier_public_kwarg(self):
-        """min_frontier=1 through the public explore() forces pooled
-        expansion at every level and still matches serial."""
-        eng, params = small_engine("star", "priority")
-
-        def inv(e):
-            return safety_ok(e, params)
-
-        serial = explore(eng, inv, max_depth=5)
-        par = explore(eng, inv, max_depth=5, workers=2, min_frontier=1)
-        assert explore_fields(par) == explore_fields(serial)
-
-    def test_in_process_levels_report_progress(self):
-        """--progress stays honest when frontiers are too small to fork
-        for: each in-process level emits one event saying so."""
+    def test_liveness_rejects_workers(self):
         eng, params = small_engine("path", "naive")
-        events = []
-        explore(eng, lambda e: True, max_depth=4, workers=2,
-                progress=events.append)
-        assert events and all(ev.campaign == "explore" for ev in events)
-        assert any("in-process" in ev.note for ev in events)
+        with pytest.raises(ValueError, match="liveness"):
+            explore(eng, lambda e: True, check="liveness", workers=4)
 
-    def test_workers_require_bfs_snapshot(self):
+    @pytest.mark.parametrize("kw, match", [
+        ({"digest": "tuple"}, "owner-computes"),
+        ({"method": "snapshot"}, "owner-computes"),
+        ({"method": "fork"}, "owner-computes"),
+        ({"strategy": "dfs"}, "owner-computes"),
+        ({"digest": "sha0"}, "unknown digest"),
+    ])
+    def test_owner_unsupported_combinations_rejected(self, kw, match):
         eng, params = small_engine("path", "naive")
-        with pytest.raises(ValueError, match="bfs"):
-            explore(eng, lambda e: True, strategy="dfs", workers=2)
-        with pytest.raises(ValueError, match="snapshot"):
-            explore(eng, lambda e: True, method="fork", workers=2)
-
-    def test_bad_digest_rejected(self):
-        eng, params = small_engine("path", "naive")
-        with pytest.raises(ValueError, match="digest"):
-            explore_parallel(eng, lambda e: True, workers=2, digest="sha0")
-
-    @pytest.mark.parametrize("digest", ["packed", "tuple"])
-    def test_both_digests_identical_to_serial(self, digest):
-        eng, params = small_engine("star", "naive")
-
-        def inv(e):
-            return safety_ok(e, params)
-
-        serial = explore(eng, inv, max_depth=5)
-        par = explore_parallel(
-            eng, inv, max_depth=5, workers=3, min_frontier=1, digest=digest
-        )
-        assert explore_fields(par) == explore_fields(serial)
-
-    @pytest.mark.parametrize("method", ["delta", "snapshot"])
-    def test_both_methods_identical_to_serial(self, method):
-        """The retained full-codec reference is runnable under the pool
-        too — a delta-codec bug must be cross-checkable in parallel."""
-        eng, params = small_engine("star", "naive")
-
-        def inv(e):
-            return safety_ok(e, params)
-
-        serial = explore(eng, inv, max_depth=5, method=method)
-        par = explore_parallel(
-            eng, inv, max_depth=5, workers=3, min_frontier=1, method=method
-        )
-        assert explore_fields(par) == explore_fields(serial)
-        via_explore = explore(
-            eng, inv, max_depth=5, method=method, workers=2, min_frontier=1
-        )
-        assert explore_fields(via_explore) == explore_fields(serial)
-
-    def test_fork_method_rejected(self):
-        eng, params = small_engine("path", "naive")
-        with pytest.raises(ValueError, match="snapshot"):
-            explore_parallel(eng, lambda e: True, workers=2, method="fork")
-
-
-class TestPersistentPool:
-    """The pool-per-level fork is gone: one pool, forked lazily, fed
-    digest deltas, alive until the campaign ends."""
-
-    def test_pool_created_exactly_once_across_levels(self, monkeypatch):
-        import repro.analysis.parallel as par_mod
-
-        created = []
-        real = PersistentExplorePool
-
-        class Counting(real):
-            def __init__(self, payload, workers):
-                created.append(workers)
-                super().__init__(payload, workers)
-
-        monkeypatch.setattr(par_mod, "PersistentExplorePool", Counting)
-        eng, params = small_engine("star", "naive")
-
-        def inv(e):
-            return safety_ok(e, params)
-
-        serial = explore(eng, inv, max_depth=6)
-        par = explore_parallel(
-            eng, inv, max_depth=6, workers=2, min_frontier=1
-        )
-        assert explore_fields(par) == explore_fields(serial)
-        assert created == [2], "expected exactly one pool for the campaign"
-        assert len(serial.frontier_sizes) >= 4, "needs several pooled levels"
-
-    def test_pool_not_forked_when_levels_stay_small(self, monkeypatch):
-        import repro.analysis.parallel as par_mod
-
-        created = []
-        real = PersistentExplorePool
-
-        class Counting(real):
-            def __init__(self, payload, workers):
-                created.append(workers)
-                super().__init__(payload, workers)
-
-        monkeypatch.setattr(par_mod, "PersistentExplorePool", Counting)
-        eng, params = small_engine("path", "naive")
-        explore_parallel(
-            eng, lambda e: True, max_depth=3, workers=2,
-            min_frontier=10_000,
-        )
-        assert created == []
+        with pytest.raises(ValueError, match=match):
+            explore(eng, lambda e: True, workers=2, **kw)
 
     def test_worker_exception_surfaces_as_campaign_error(self):
         eng, params = small_engine("star", "naive")
@@ -336,65 +278,9 @@ class TestPersistentPool:
             return True
 
         with pytest.raises(CampaignError) as exc:
-            explore_parallel(eng, inv, max_depth=6, workers=2, min_frontier=1)
+            explore(eng, inv, max_depth=6, workers=2)
         failures = exc.value.failures
         assert failures and "invariant exploded" in failures[0].error
-
-    def test_default_min_frontier_crossover(self):
-        """Satellite pin: with the codified DEFAULT_MIN_FRONTIER, levels
-        below the threshold expand in-process and levels at/above it
-        dispatch to the pool — on a frontier trajectory that crosses
-        the threshold mid-campaign."""
-        eng, params = small_engine("star", "naive", n=4, l=2)
-
-        def inv(e):
-            return safety_ok(e, params)
-
-        serial = explore(eng, inv, max_depth=7)
-        # input frontier of depth d is the output of depth d-1
-        inputs = [1] + serial.frontier_sizes[:-1]
-        assert min(inputs) < DEFAULT_MIN_FRONTIER < max(inputs), (
-            "scenario must straddle the threshold for this pin to bite"
-        )
-        events = []
-        par = explore_parallel(
-            eng, inv, max_depth=7, workers=2, progress=events.append
-        )
-        assert explore_fields(par) == explore_fields(serial)
-        in_process = {
-            int(ev.note.split("depth ")[1].split(":")[0])
-            for ev in events if "in-process" in ev.note
-        }
-        pooled = {
-            int(ev.note.split("depth ")[1].split(":")[0])
-            for ev in events if "in-process" not in ev.note
-        }
-        expected_in_process = {
-            d for d, size in enumerate(inputs, start=1)
-            if size < DEFAULT_MIN_FRONTIER
-        }
-        expected_pooled = {
-            d for d, size in enumerate(inputs, start=1)
-            if size >= DEFAULT_MIN_FRONTIER
-        }
-        assert in_process == expected_in_process
-        assert pooled == expected_pooled
-
-    def test_pool_survives_alternating_level_sizes(self):
-        """In-process levels after the pool exists queue their digest
-        deltas for the next pooled level (mirror catch-up path)."""
-        eng, params = small_engine("star", "naive", n=4, l=2)
-
-        def inv(e):
-            return safety_ok(e, params)
-
-        serial = explore(eng, inv, max_depth=7)
-        # a threshold inside the trajectory, so pooled and in-process
-        # levels interleave around it
-        par = explore_parallel(
-            eng, inv, max_depth=7, workers=2, min_frontier=30
-        )
-        assert explore_fields(par) == explore_fields(serial)
 
 
 class TestSweepDeterminism:
