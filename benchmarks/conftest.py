@@ -1,6 +1,7 @@
 """Benchmark-suite helpers: experiment tables printed past pytest capture."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -69,3 +70,23 @@ def bench_baseline():
             )
 
     return _load
+
+
+@pytest.fixture(scope="session")
+def bench_out(tmp_path_factory):
+    """Where a benchmark writes its ``BENCH_<kind>.json`` artifact.
+
+    Usage: ``bench_out("explore")`` — returns ``$BENCH_EXPLORE_OUT``
+    when set, else a path in one session-wide temporary directory, so a
+    plain test run never rewrites the committed artifacts while the
+    tests that fold extra blocks into an artifact written earlier in
+    the session still find it.
+    """
+    tmp = tmp_path_factory.mktemp("bench")
+
+    def _path(kind):
+        return os.environ.get(
+            f"BENCH_{kind.upper()}_OUT", str(tmp / f"BENCH_{kind}.json")
+        )
+
+    return _path

@@ -65,7 +65,7 @@ def test_gate_scenario_equivalence():
 
 
 @pytest.mark.slow
-def test_array_speedup_and_artifact(report):
+def test_array_speedup_and_artifact(report, bench_out):
     """>= 10x steps/sec vs the object kernel at n=10^4; merges the
     measured gate numbers into the BENCH_kernel.json artifact."""
     steps = int(os.environ.get("BENCH_ARRAY_STEPS", "40000"))
@@ -97,7 +97,7 @@ def test_array_speedup_and_artifact(report):
 
     # Fold the gate numbers into the artifact the kernel gate wrote
     # earlier in this run (partial runs simply leave it alone).
-    out = os.environ.get("BENCH_KERNEL_OUT", "BENCH_kernel.json")
+    out = bench_out("kernel")
     if os.path.exists(out):
         with open(out) as fh:
             doc = json.load(fh)

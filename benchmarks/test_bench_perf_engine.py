@@ -13,8 +13,8 @@ Two layers:
   (``legacy_engine.LegacyStepEngine``, a verbatim fossil) on the
   self-stabilizing ring scenario, after first proving the two loops
   execute byte-identical steps.  The measured matrix is written to
-  ``BENCH_kernel.json`` (path overridable via ``BENCH_KERNEL_OUT``) so
-  the kernel's steps/sec trajectory accumulates run over run.
+  ``BENCH_kernel.json`` at ``$BENCH_KERNEL_OUT`` (a temporary path when
+  unset, see the ``bench_out`` fixture).
 """
 
 import itertools
@@ -113,7 +113,7 @@ class TestKernelVsPreRefactor:
         for field in ks.__slots__:
             assert getattr(ks, field) == getattr(ls, field), field
 
-    def test_kernel_speedup_and_artifact(self):
+    def test_kernel_speedup_and_artifact(self, bench_out):
         """≥ 2.5× steps/sec vs the pre-refactor engine on the selfstab
         ring scenario; emits the BENCH_kernel.json matrix artifact."""
         steps = int(os.environ.get("BENCH_KERNEL_STEPS", "100000"))
@@ -134,7 +134,7 @@ class TestKernelVsPreRefactor:
         ratio = best_kernel / best_legacy
 
         rows = run_kernel_bench(steps=steps, repeat=3)
-        out = os.environ.get("BENCH_KERNEL_OUT", "BENCH_kernel.json")
+        out = bench_out("kernel")
         write_bench_json(
             rows,
             out,

@@ -1163,7 +1163,8 @@ class _ArrayExpander:
     :meth:`ArrayEngine.load_state_diff` exactly as with the object
     expander.
 
-    Move outcomes are memoized.  A move's full read set is the moving
+    Move outcomes are memoized for the expander's lifetime, one search;
+    nothing is cached on the engine.  A move's full read set is the moving
     pid's proc section, the consumed head message and its arrival label
     (handlers forward tokens relative to the label they arrived on),
     the root scalar block when the mover is the root, and the clock
@@ -1189,7 +1190,6 @@ class _ArrayExpander:
         "digester",
         "nprocs",
         "_memo",
-        "_xmemo",
         "_jc",
         "_cnt",
     )
@@ -1198,8 +1198,6 @@ class _ArrayExpander:
     _CLEAN = object()
     #: safety valve: distinct read-set groups retained before the memo resets
     _MEMO_MAX = 200_000
-    #: safety valve: parents retained in the expansion memo before it resets
-    _XMEMO_MAX = 50_000
 
     #: drivers may skip re-seeking the engine between parents; the
     #: expander seeks lazily, only when a move must execute for real
@@ -1217,17 +1215,7 @@ class _ArrayExpander:
         self.nprocs = work.n
         work.explore_prepare()
         self._jc = work._jrnl_chans
-        # engine-lifetime memos: stay warm across explore() calls on the
-        # same engine (fork() shares them with clones on purpose).  The
-        # expansion memo caches invariant verdicts, so it only survives
-        # as long as the invariant callable is the same object — the
-        # marker lives inside the shared dict so it travels with it.
-        xmemo = work._explore_xmemo
-        if xmemo.get("__inv__") is not invariant:
-            xmemo.clear()
-            xmemo["__inv__"] = invariant
-        self._memo = work._explore_memo
-        self._xmemo = xmemo
+        self._memo = {}
         self._cnt = [
             struct.pack("<q", i) for i in range(2 * work._cap + 3)
         ]
@@ -1263,50 +1251,9 @@ class _ArrayExpander:
         Enumeration reads the state tuple, not the engine, so the
         engine is only seeked (lazily, once) when a move has to execute
         for real; a fully-memoized parent never touches it.
-
-        Above the per-move memo sits a parent-level expansion memo
-        keyed by the *exact* state tuple: a re-expansion of a
-        configuration already expanded on this engine replays the whole
-        record row from cache.  The key must be the full state, not its
-        digest — digest-equal states may differ in excluded fields
-        (timers, scan cursors, uids) and expand differently, and each
-        search keeps whichever representative it met first.  Cached
-        child tuples are reused across runs, so repeat lookups hit the
-        dictionary's identity fast path.  Entries that were
-        duplicate-pruned at record time carry only their digest; if
-        such a digest is *not* already known to this search, the cached
-        row cannot answer for it and the parent falls back to the
-        executing path (so the memo is sound under any interleaving of
-        calls, it just hits less).
         """
         blake = blake2b
         join = b"".join
-        xmemo = self._xmemo
-        cached = xmemo.get(state)
-        if cached is not None:
-            row: list = []
-            append = row.append
-            local_seen: set = set()
-            complete = True
-            for e in cached:
-                if e is None:
-                    # clean move: child digest == parent digest, and the
-                    # parent's own digest is always in ``seen``
-                    append(None)
-                    continue
-                d = e[0]
-                if d in seen or d in local_seen:
-                    append(None)
-                elif len(e) == 1:
-                    # pruned at record time, but new to this search — no
-                    # cached record exists; recompute the row for real
-                    complete = False
-                    break
-                else:
-                    local_seen.add(d)
-                    append(e)
-            if complete:
-                return row
         work = self.work
         invariant = self.invariant
         exec_move = work._exec_move
@@ -1332,11 +1279,9 @@ class _ArrayExpander:
         in_slot = work._in_slot
         nbr_off = work._nbr_off
         deg_col = work._deg
-        row = []
+        row: list = []
         append = row.append
-        trace: list = []
-        record = trace.append
-        local_seen = set()
+        local_seen: set = set()
         synced = False
         for pid in range(n):
             sec = procs_t[pid]
@@ -1362,7 +1307,6 @@ class _ArrayExpander:
                     # no channel events, untouched digest words: the
                     # child digest is the parent's, always already known
                     append(None)
-                    record(None)
                     continue
                 if ent is not None:
                     part, pushes = ent
@@ -1385,7 +1329,6 @@ class _ArrayExpander:
                     digest = blake(join(cur), digest_size=16).digest()
                     if digest in seen or digest in local_seen:
                         append(None)
-                        record((digest,))
                         continue
                     # first sighting: run the move for real — the child
                     # state tuple and the verdict need the engine
@@ -1405,7 +1348,6 @@ class _ArrayExpander:
                         cur,
                     )
                     append(item)
-                    record(item)
                     undo_move(pid, state)
                     continue
                 # memo miss: execute, derive the entry from the journal
@@ -1417,7 +1359,6 @@ class _ArrayExpander:
                 if not jc and part == parent_parts[pid]:
                     grp[key] = clean
                     append(None)
-                    record(None)
                     undo_move(pid, state)
                     continue
                 grp[key] = (part, jrnl_pushes())
@@ -1433,7 +1374,6 @@ class _ArrayExpander:
                 digest = blake(join(cur), digest_size=16).digest()
                 if digest in seen or digest in local_seen:
                     append(None)
-                    record((digest,))
                     undo_move(pid, state)
                     continue
                 local_seen.add(digest)
@@ -1444,11 +1384,7 @@ class _ArrayExpander:
                     cur,
                 )
                 append(item)
-                record(item)
                 undo_move(pid, state)
-        if len(xmemo) > self._XMEMO_MAX:
-            xmemo.clear()
-        xmemo[state] = trace
         return row
 
 

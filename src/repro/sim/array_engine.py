@@ -464,13 +464,8 @@ class ArrayEngine:
         self._jrnl_chans: list[tuple] | None = None
         self._jrnl_sent: list[tuple] | None = None
         self._jrnl_cnt: list[tuple] | None = None
-        # exploration bookkeeping: the state tuple the engine currently
-        # holds (for lazy seeks), the engine-lifetime move memo and the
-        # parent-level expansion memo (the latter tags the invariant its
-        # cached verdicts belong to under its "__inv__" key)
+        # the state tuple the engine currently holds (for lazy seeks)
         self._held: tuple | None = None
-        self._explore_memo: dict = {}
-        self._explore_xmemo: dict = {}
         # facades
         self.processes = _ProcSeq(self)
         self.network = _NetView(self)
@@ -1513,27 +1508,13 @@ class ArrayEngine:
     # Exploration support (word journal, move executor, state codec)
     # ------------------------------------------------------------------
     def fork(self) -> "ArrayEngine":
-        """Deep-copied engine sharing no mutable state (Engine mirror).
-
-        Exception: the exploration move memo is *shared* with the clone
-        on purpose.  Entries key on a move's full read set over static
-        configuration the fork preserves verbatim, so they are valid in
-        either engine — and sharing keeps repeated :func:`explore` calls
-        (which fork per call) warm.  Cross-process copies still start
-        cold: ``__getstate__`` drops the memo from pickles.
-        """
-        clone = copy.deepcopy(self)
-        clone._explore_memo = self._explore_memo
-        clone._explore_xmemo = self._explore_xmemo
-        return clone
+        """Deep-copied engine sharing no mutable state (Engine mirror)."""
+        return copy.deepcopy(self)
 
     def __getstate__(self):
         st = self.__dict__.copy()
-        # the memos key on identity (sentinels, the invariant callable)
-        # and can be large; clones and pickles start cold — they are
-        # exploration state, not configuration
-        st["_explore_memo"] = {}
-        st["_explore_xmemo"] = {}
+        # clones and pickles must not trust a held-state tuple that may
+        # be stale, or seek() would skip a load it needs
         st["_held"] = None
         return st
 

@@ -496,7 +496,7 @@ class TestArrayBackendDifferential:
     """``explore()`` over an :class:`ArrayEngine` must agree with the
     object engine on the *entire* search outcome — configuration and
     transition counts, violation, exhaustion and per-depth frontiers —
-    cold, warm (engine-resident memos) and owner-computes.
+    cold, on repeat searches on one engine, and owner-computes.
 
     uid discipline: the two builds run sequentially, each after a
     process-global uid counter reset (see tests/sim/test_array_engine_diff.py).
@@ -562,9 +562,9 @@ class TestArrayBackendDifferential:
         assert self._key(res) == self._key(ref)
 
     def test_warm_memo_replay_and_cross_strategy(self):
-        """Repeat runs on the same engine hit the engine-resident move
-        and expansion memos; warm results must stay identical — even
-        when the second search walks the space in a different order."""
+        """Repeat searches on one engine must stay identical to the
+        first — even when the second search walks the space in a
+        different order."""
         kw = dict(max_depth=7, max_configurations=20_000)
         obj = self._built("selfstab")
         ref_bfs = explore(obj.engine, obj.invariant, **kw)
@@ -573,7 +573,7 @@ class TestArrayBackendDifferential:
         cold = explore(arr.engine, arr.invariant, **kw)
         warm = explore(arr.engine, arr.invariant, **kw)
         assert self._key(cold) == self._key(warm) == self._key(ref_bfs)
-        # a DFS over memos recorded by the BFS must not inherit its
+        # a DFS after a BFS on the same engine must not inherit its
         # visit order or representatives
         warm_dfs = explore(arr.engine, arr.invariant, strategy="dfs", **kw)
         assert self._key(warm_dfs) == self._key(ref_dfs)
@@ -591,9 +591,9 @@ class TestArrayBackendDifferential:
             res = explore(arr.engine, arr.invariant, **case, **kw)
             assert self._key(res) == self._key(ref), case
 
-    def test_xmemo_does_not_leak_across_invariants(self):
-        """Cached expansion rows embed invariant verdicts; swapping the
-        invariant must invalidate them, not replay stale 'holds'."""
+    def test_repeat_search_with_swapped_invariant(self):
+        """A second search on one engine with a different invariant must
+        judge every configuration afresh, not replay stale 'holds'."""
         arr = self._built("selfstab", backend="array")
         eng = arr.engine
         ok = explore(eng, lambda e: True, max_depth=5,
@@ -603,3 +603,26 @@ class TestArrayBackendDifferential:
         res = explore(eng, lambda e: e.now == 0 or "clock advanced",
                       max_depth=5, max_configurations=20_000)
         assert res.violation is not None
+
+    def test_explore_leaves_nothing_on_the_engine(self):
+        """Search memos live exactly as long as one search: once its
+        result is dropped, ``explore()`` has retained nothing on the
+        caller's engine."""
+        import gc
+        import tracemalloc
+
+        arr = self._built("selfstab", backend="array")
+        eng = arr.engine
+        explore(eng, arr.invariant, max_depth=1)  # import warm-up
+        gc.collect()
+        tracemalloc.start()
+        try:
+            res = explore(eng, arr.invariant, max_depth=7,
+                          max_configurations=20_000)
+            assert res.configurations == 457
+            del res
+            gc.collect()
+            retained, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 16 * 1024
